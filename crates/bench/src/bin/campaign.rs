@@ -205,6 +205,7 @@ fn main() {
         "campaign complete: {}/{} findings hold",
         artifacts.findings_held, artifacts.findings_total
     );
+    println!("{}", cpc_charmm::trajectory_counts());
     println!("artifacts in {}:", artifacts.dir.display());
     for p in [
         &artifacts.figures,

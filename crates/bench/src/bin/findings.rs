@@ -15,6 +15,7 @@ fn main() {
         findings.len() - failed,
         findings.len()
     );
+    println!("{}", cpc_charmm::trajectory_counts());
     args.finish(&lab);
     if failed > 0 {
         std::process::exit(1);

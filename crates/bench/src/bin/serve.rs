@@ -22,7 +22,10 @@
 //!   grants, woken by each handled request — executing them on an
 //!   N-thread work-stealing pool under `--threads N` (default 1;
 //!   results commit in task-index order, so the journal is
-//!   byte-identical at every thread count). Connections are accepted
+//!   byte-identical at every thread count). Each time the pump goes
+//!   idle after granting cells it logs the process's trajectory
+//!   counts to stderr ("serve: 2 trajectories live, 22 replayed").
+//!   Connections are accepted
 //!   by a bounded worker pool (the global `cpc_pool` width, clamped
 //!   to 1..=8) that reads requests and writes responses outside the
 //!   gateway lock, so a slow client stalls one worker, not the
@@ -207,30 +210,37 @@ fn serve(
     let wake = Arc::new((Mutex::new(false), Condvar::new()));
     let pump_gw = Arc::clone(&gw);
     let pump_wake = Arc::clone(&wake);
-    std::thread::spawn(move || loop {
-        let report = pump_gw.lock().expect("gateway lock").pump(4);
-        if report.killed {
-            eprintln!(
-                "serve: injected kill fired; exiting — restart with the same --root to resume"
-            );
-            std::process::exit(EXIT_CELL_BUDGET);
-        }
-        if report.granted > 0 {
-            // Work flowed: pump again immediately.
-            continue;
-        }
-        let (pending, bell) = &*pump_wake;
-        let mut rung = pending.lock().expect("pump wake lock");
-        while !*rung {
-            let (guard, timeout) = bell
-                .wait_timeout(rung, Duration::from_millis(500))
-                .expect("pump wake lock");
-            rung = guard;
-            if timeout.timed_out() {
-                break;
+    std::thread::spawn(move || {
+        let mut worked = false;
+        loop {
+            let report = pump_gw.lock().expect("gateway lock").pump(4);
+            if report.killed {
+                eprintln!(
+                    "serve: injected kill fired; exiting — restart with the same --root to resume"
+                );
+                std::process::exit(EXIT_CELL_BUDGET);
             }
+            if report.granted > 0 {
+                // Work flowed: pump again immediately.
+                worked = true;
+                continue;
+            }
+            if std::mem::take(&mut worked) {
+                eprintln!("serve: {}", cpc_charmm::trajectory_counts());
+            }
+            let (pending, bell) = &*pump_wake;
+            let mut rung = pending.lock().expect("pump wake lock");
+            while !*rung {
+                let (guard, timeout) = bell
+                    .wait_timeout(rung, Duration::from_millis(500))
+                    .expect("pump wake lock");
+                rung = guard;
+                if timeout.timed_out() {
+                    break;
+                }
+            }
+            *rung = false;
         }
-        *rung = false;
     });
 
     // Bounded accept-worker pool: `accept` is thread-safe on a shared

@@ -85,7 +85,7 @@ pub fn classic_energy_parallel_weighted(
 ) -> ClassicResult {
     let p = comm.size();
     let r = comm.rank();
-    comm.ctx().set_phase(Phase::Classic);
+    comm.set_phase(Phase::Classic);
 
     let topo = &system.topology;
     let part = classic_partition(
@@ -137,7 +137,7 @@ pub fn classic_energy_parallel_weighted(
     let t = pairs_evaluated as f64 * cost.pair_eval
         + skipped as f64 * cost.list_pair
         + bonded_terms as f64 * cost.bonded_term;
-    comm.ctx().charge_compute(t);
+    comm.charge_compute(t);
 
     // CHARMM-style combine: forces and energies in one master-based
     // global sum (GCOMB — the "all-to-all collective" of Figure 2).

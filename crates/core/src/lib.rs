@@ -13,6 +13,8 @@
 //!   personalized transposes, and its own closing collective,
 //! * [`driver`] — the velocity-Verlet measurement loop (the paper runs
 //!   10 steps per measurement),
+//! * [`replay`] — physics once, timing per platform: a live run's
+//!   `Comm`-level tape replayed on every other platform configuration,
 //! * [`report`] — aggregation into the paper's response variables:
 //!   classic/PME wall times, computation / communication /
 //!   synchronization percentages, and per-node communication speeds.
@@ -31,6 +33,7 @@ pub mod driver;
 pub mod pme_par;
 pub mod pme_spatial;
 pub mod recover;
+pub mod replay;
 pub mod report;
 
 pub use chaos::{
@@ -48,4 +51,5 @@ pub use pme_spatial::SpatialPme;
 pub use recover::{
     run_parallel_md_faulty, AbftConfig, FaultConfig, FtReport, RecoveryConfig, WatchdogConfig,
 };
+pub use replay::{trajectory_counts, Tape, TrajectoryCounts};
 pub use report::{RunReport, StepEnergies};

@@ -142,7 +142,7 @@ impl ParallelPme {
         system: &System,
         cost: &CostModel,
     ) -> PmeParallelResult {
-        comm.ctx().set_phase(Phase::Pme);
+        comm.set_phase(Phase::Pme);
         let p = comm.size();
         let rank = comm.rank();
         debug_assert_eq!(p, self.decomp.p, "rank count must match construction");
@@ -184,8 +184,7 @@ impl ParallelPme {
                 }
             }
         }
-        comm.ctx()
-            .charge_compute(spread_points as f64 * cost.spread_point);
+        comm.charge_compute(spread_points as f64 * cost.spread_point);
 
         // --- Global charge-mesh sum (CHARMM applies its global-combine
         // machinery to the whole mesh).
@@ -197,7 +196,7 @@ impl ParallelPme {
         // so the summed mesh must hold exactly the total system charge
         // up to roundoff. A pure side read over the reduced mesh.
         let grid_residual = if self.abft {
-            comm.ctx().charge_compute(g.len() as f64 * cost.conv_point);
+            comm.charge_compute(g.len() as f64 * cost.conv_point);
             let mesh_q: f64 = qgrid.iter().sum();
             let total_q: f64 = topo.atoms.iter().map(|a| a.charge).sum();
             let scale: f64 = topo.atoms.iter().map(|a| a.charge.abs()).sum();
@@ -224,7 +223,7 @@ impl ParallelPme {
             transform_axis(&mut slab, dims, Axis::Z, &self.plan_z, Direction::Forward);
             transform_axis(&mut slab, dims, Axis::Y, &self.plan_y, Direction::Forward);
         }
-        comm.ctx().charge_compute(fft2d_flops * cost.fft_flop);
+        comm.charge_compute(fft2d_flops * cost.fft_flop);
 
         // --- Transpose: slab (planes x cols) -> columns (cols x nx).
         let mut cols = vec![Complex64::ZERO; n_cols * nx];
@@ -260,7 +259,7 @@ impl ParallelPme {
                 self.plan_x.execute(&line.clone(), seg, Direction::Inverse);
             }
         }
-        comm.ctx().charge_compute(
+        comm.charge_compute(
             n_cols as f64 * 2.0 * flops_estimate(nx) * cost.fft_flop
                 + (n_cols * nx) as f64 * cost.conv_point,
         );
@@ -285,7 +284,7 @@ impl ParallelPme {
                 Direction::Inverse,
             );
         }
-        comm.ctx().charge_compute(fft2d_flops * cost.fft_flop);
+        comm.charge_compute(fft2d_flops * cost.fft_flop);
 
         // --- Allgather the convolution mesh: every rank needs phi
         // everywhere because its atoms are block-decomposed.
@@ -330,8 +329,7 @@ impl ParallelPme {
             }
             forces[i] -= Vec3::new(grad.x * du[0], grad.y * du[1], grad.z * du[2]) * q;
         }
-        comm.ctx()
-            .charge_compute(interp_points as f64 * cost.interp_point);
+        comm.charge_compute(interp_points as f64 * cost.interp_point);
 
         // --- Excluded-pair corrections over this rank's atom block.
         let beta = self.params.beta;
@@ -359,8 +357,7 @@ impl ParallelPme {
                 excl_count += 1;
             }
         }
-        comm.ctx()
-            .charge_compute(excl_count as f64 * cost.excl_pair);
+        comm.charge_compute(excl_count as f64 * cost.excl_pair);
 
         // Self energy: exact and position independent; contributed once
         // (rank 0) so the global sum is correct.
@@ -476,10 +473,10 @@ pub(crate) fn transpose_forward_impl(
             }
             sends.push(block);
         }
-        comm.ctx().charge_compute(packed as f64 * cost.conv_point);
+        comm.charge_compute(packed as f64 * cost.conv_point);
         if abft {
             // Sealing digests every packed element once more.
-            comm.ctx().charge_compute(packed as f64 * cost.conv_point);
+            comm.charge_compute(packed as f64 * cost.conv_point);
         }
 
         let recvs = comm.alltoallv(sends);
@@ -507,9 +504,9 @@ pub(crate) fn transpose_forward_impl(
                 }
             }
         }
-        comm.ctx().charge_compute(unpacked as f64 * cost.conv_point);
+        comm.charge_compute(unpacked as f64 * cost.conv_point);
         if abft {
-            comm.ctx().charge_compute(unpacked as f64 * cost.conv_point);
+            comm.charge_compute(unpacked as f64 * cost.conv_point);
         }
         faults
     }
@@ -553,9 +550,9 @@ pub(crate) fn transpose_backward_impl(
             }
             sends.push(block);
         }
-        comm.ctx().charge_compute(packed as f64 * cost.conv_point);
+        comm.charge_compute(packed as f64 * cost.conv_point);
         if abft {
-            comm.ctx().charge_compute(packed as f64 * cost.conv_point);
+            comm.charge_compute(packed as f64 * cost.conv_point);
         }
 
         let recvs = comm.alltoallv(sends);
@@ -584,9 +581,9 @@ pub(crate) fn transpose_backward_impl(
                 }
             }
         }
-        comm.ctx().charge_compute(unpacked as f64 * cost.conv_point);
+        comm.charge_compute(unpacked as f64 * cost.conv_point);
         if abft {
-            comm.ctx().charge_compute(unpacked as f64 * cost.conv_point);
+            comm.charge_compute(unpacked as f64 * cost.conv_point);
         }
         faults
     }

@@ -80,7 +80,7 @@ impl SpatialPme {
         system: &System,
         cost: &CostModel,
     ) -> PmeParallelResult {
-        comm.ctx().set_phase(Phase::Pme);
+        comm.set_phase(Phase::Pme);
         let p = comm.size();
         let rank = comm.rank();
         let g = self.params.grid;
@@ -135,8 +135,7 @@ impl SpatialPme {
                 }
             }
         }
-        comm.ctx()
-            .charge_compute(spread_points as f64 * cost.spread_point);
+        comm.charge_compute(spread_points as f64 * cost.spread_point);
 
         // --- Halo reduction: plane x1 + k belongs to its owner; send
         // and accumulate (kilobytes instead of the full mesh).
@@ -157,7 +156,7 @@ impl SpatialPme {
                     }
                     continue;
                 }
-                comm.ctx().send(
+                comm.raw_send(
                     owner,
                     HALO_TAG + k as u64,
                     payload,
@@ -178,7 +177,7 @@ impl SpatialPme {
                 for kk in 0..halo {
                     let gx = (sender_planes.end + kk) % nx;
                     if my_planes.contains(&gx) {
-                        let msg = comm.ctx().recv(sender, HALO_TAG + kk as u64);
+                        let msg = comm.raw_recv(sender, HALO_TAG + kk as u64);
                         let off = (gx - x0) * plane;
                         for (s, v) in slab[off..off + plane].iter_mut().zip(&msg.data) {
                             s.re += v;
@@ -206,7 +205,7 @@ impl SpatialPme {
             transform_axis(&mut slab, dims, Axis::Z, &self.plan_z, Direction::Forward);
             transform_axis(&mut slab, dims, Axis::Y, &self.plan_y, Direction::Forward);
         }
-        comm.ctx().charge_compute(fft2d_flops * cost.fft_flop);
+        comm.charge_compute(fft2d_flops * cost.fft_flop);
 
         let mut cols = vec![Complex64::ZERO; n_cols * nx];
         crate::pme_par::transpose_forward_impl(&self.decomp, comm, &slab, &mut cols, cost, false);
@@ -237,7 +236,7 @@ impl SpatialPme {
                 self.plan_x.execute(&line.clone(), seg, Direction::Inverse);
             }
         }
-        comm.ctx().charge_compute(
+        comm.charge_compute(
             n_cols as f64 * 2.0 * flops_estimate(nx) * cost.fft_flop
                 + (n_cols * nx) as f64 * cost.conv_point,
         );
@@ -268,7 +267,7 @@ impl SpatialPme {
                 Direction::Inverse,
             );
         }
-        comm.ctx().charge_compute(fft2d_flops * cost.fft_flop);
+        comm.charge_compute(fft2d_flops * cost.fft_flop);
 
         // --- Fetch the upper phi halo (reverse of the charge halo):
         // I need planes x1..x1+halo from their owners; I provide my
@@ -293,7 +292,7 @@ impl SpatialPme {
                             .iter()
                             .map(|v| v.re)
                             .collect();
-                        comm.ctx().send(
+                        comm.raw_send(
                             requester,
                             HALO_TAG + 0x100 + kk as u64,
                             payload,
@@ -314,7 +313,7 @@ impl SpatialPme {
                     }
                     continue;
                 }
-                let msg = comm.ctx().recv(owner, HALO_TAG + 0x100 + k as u64);
+                let msg = comm.raw_recv(owner, HALO_TAG + 0x100 + k as u64);
                 phi_ext[(n_planes + k) * plane..(n_planes + k + 1) * plane]
                     .copy_from_slice(&msg.data);
             }
@@ -359,8 +358,7 @@ impl SpatialPme {
             }
             forces[i] -= Vec3::new(grad.x * du[0], grad.y * du[1], grad.z * du[2]) * q;
         }
-        comm.ctx()
-            .charge_compute(interp_points as f64 * cost.interp_point);
+        comm.charge_compute(interp_points as f64 * cost.interp_point);
 
         // --- Exclusions (index blocks, as before) and self energy.
         let atom_block = block_range(n, p, rank);
@@ -389,8 +387,7 @@ impl SpatialPme {
                 excl_count += 1;
             }
         }
-        comm.ctx()
-            .charge_compute(excl_count as f64 * cost.excl_pair);
+        comm.charge_compute(excl_count as f64 * cost.excl_pair);
 
         let self_partial = if rank == 0 {
             let q2: f64 = topo.atoms.iter().map(|a| a.charge * a.charge).sum();

@@ -429,7 +429,7 @@ fn probe_corruption(
 }
 
 /// One full force evaluation over the *current* communicator (same
-/// structure as the closure in [`crate::driver::run_parallel_md`], but
+/// structure as the rank body of [`crate::driver::run_parallel_md`], but
 /// a free function so the PME engine can be rebuilt after a shrink).
 #[allow(clippy::too_many_arguments)]
 fn eval_forces(

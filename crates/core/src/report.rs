@@ -48,7 +48,9 @@ pub struct RunReport {
     pub final_velocities: Vec<Vec3>,
 }
 
-type RankPayload = (Vec<StepEnergies>, Vec<Vec3>, Vec<Vec3>);
+/// What each rank of a run returns: its step energies and final
+/// positions and velocities (only rank 0's are reported).
+pub(crate) type RankPayload = (Vec<StepEnergies>, Vec<Vec3>, Vec<Vec3>);
 
 impl RunReport {
     /// Builds a report from the raw cluster outcomes.

@@ -68,7 +68,7 @@ pub struct Improper {
 }
 
 /// Complete bonded topology plus exclusion lists.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Topology {
     /// All atoms.
     pub atoms: Vec<Atom>,

@@ -13,7 +13,8 @@
 
 use crate::detector::FailureDetector;
 use crate::middleware::{CombineAlgo, Middleware};
-use cpc_cluster::{CommError, MsgClass, OpShape, RankCtx, RttEstimator};
+use crate::tape::CommOp;
+use cpc_cluster::{CommError, Msg, MsgClass, OpShape, Phase, RankCtx, RttEstimator, SendOutcome};
 
 /// Tag space layout: collectives use `epoch << 8 | op`, user messages
 /// use the high bit.
@@ -66,6 +67,8 @@ pub struct Comm<'a> {
     /// payload sends; drive the adaptive retry timer of
     /// [`send_with_retry`](Comm::send_with_retry).
     rtt: Vec<RttEstimator>,
+    /// The calls recorded so far, while recording is on.
+    tape: Option<Vec<CommOp>>,
 }
 
 impl<'a> Comm<'a> {
@@ -81,6 +84,7 @@ impl<'a> Comm<'a> {
             members,
             my_local,
             rtt,
+            tape: None,
         }
     }
 
@@ -115,9 +119,56 @@ impl<'a> Comm<'a> {
         self.middleware
     }
 
-    /// Underlying context (for phase control and compute charging).
+    /// Underlying context.
+    ///
+    /// # Panics
+    /// While recording, as does every other public call that has no
+    /// [`CommOp`]: a call that moves a recording rank's clock must go
+    /// through a recorded `Comm` method, or the tape would replay
+    /// without it.
     pub fn ctx(&mut self) -> &mut RankCtx {
+        self.not_recording("ctx()");
         self.ctx
+    }
+
+    /// Guards every public call that changes what a rank does on the
+    /// cluster but has no [`CommOp`]: on a recording `Comm` it would
+    /// slip past the tape, and a replay would leave it out.
+    fn not_recording(&self, call: &str) {
+        assert!(
+            self.tape.is_none(),
+            "{call} is not recorded, so a recording Comm refuses it"
+        );
+    }
+
+    /// Starts recording this rank's calls as a tape (see
+    /// [`CommOp`]), discarding any tape recorded so far.
+    pub fn start_recording(&mut self) {
+        self.tape = Some(Vec::new());
+    }
+
+    /// Stops recording and returns the tape, if recording was on.
+    pub fn take_recording(&mut self) -> Option<Vec<CommOp>> {
+        self.tape.take()
+    }
+
+    fn record(&mut self, op: impl FnOnce() -> CommOp) {
+        if let Some(tape) = &mut self.tape {
+            tape.push(op());
+        }
+    }
+
+    /// Sets the phase subsequent time is charged to.
+    pub fn set_phase(&mut self, phase: Phase) {
+        self.record(|| CommOp::Phase(phase));
+        self.ctx.set_phase(phase);
+    }
+
+    /// Charges `seconds` of computation (see
+    /// [`RankCtx::charge_compute`]).
+    pub fn charge_compute(&mut self, seconds: f64) {
+        self.record(|| CommOp::Compute(seconds));
+        self.ctx.charge_compute(seconds);
     }
 
     /// Engine rank of logical rank `local`.
@@ -144,6 +195,7 @@ impl<'a> Comm<'a> {
     /// # Panics
     /// If the calling rank itself is in `dead`.
     pub fn shrink(&mut self, dead: &[usize]) {
+        self.not_recording("shrink");
         let me = self.global_rank();
         assert!(!dead.contains(&me), "rank {me} cannot shrink itself away");
         self.members.retain(|r| !dead.contains(r));
@@ -164,6 +216,7 @@ impl<'a> Comm<'a> {
     /// Heartbeats ride the reliable control channel, so loss can delay
     /// but never drop them.
     pub fn heartbeat(&mut self) -> Vec<usize> {
+        self.not_recording("heartbeat");
         let p = self.size();
         let tag = self.next_epoch(op::HEARTBEAT);
         if p == 1 {
@@ -236,6 +289,7 @@ impl<'a> Comm<'a> {
         report: f64,
         digest: f64,
     ) -> (Vec<usize>, Vec<(usize, f64)>) {
+        self.not_recording("heartbeat_observed_with");
         let p = self.size();
         let tag = self.next_epoch(op::HEARTBEAT);
         det.report(self.global_rank(), report);
@@ -286,6 +340,7 @@ impl<'a> Comm<'a> {
 
     /// Blocking user-level send.
     pub fn send(&mut self, dst: usize, tag: u64, data: Vec<f64>) {
+        self.not_recording("send");
         let gdst = self.g(dst);
         let outcome = self.ctx.send(
             gdst,
@@ -301,6 +356,7 @@ impl<'a> Comm<'a> {
 
     /// Blocking user-level receive.
     pub fn recv(&mut self, src: usize, tag: u64) -> Vec<f64> {
+        self.not_recording("recv");
         let gsrc = self.g(src);
         self.ctx.recv(gsrc, USER_TAG_BASE | tag).data
     }
@@ -310,6 +366,7 @@ impl<'a> Comm<'a> {
     /// and [`CommError::PeerDead`] for a crashed sender, instead of
     /// blocking forever.
     pub fn try_recv(&mut self, src: usize, tag: u64) -> Result<Vec<f64>, CommError> {
+        self.not_recording("try_recv");
         let gsrc = self.g(src);
         self.ctx
             .recv_result(gsrc, USER_TAG_BASE | tag)
@@ -338,6 +395,7 @@ impl<'a> Comm<'a> {
         data: Vec<f64>,
         policy: RetryPolicy,
     ) -> Result<u32, CommError> {
+        self.not_recording("send_with_retry");
         debug_assert!(tag < (1 << 48), "retry tags use bits 48..56");
         let gdst = self.g(dst);
         let floor = self.ctx.net().rto_floor();
@@ -377,6 +435,7 @@ impl<'a> Comm<'a> {
         tag: u64,
         policy: RetryPolicy,
     ) -> Result<Vec<f64>, CommError> {
+        self.not_recording("recv_with_retry");
         debug_assert!(tag < (1 << 48), "retry tags use bits 48..56");
         let gsrc = self.g(src);
         let attempts = policy.max_attempts.max(1);
@@ -400,9 +459,30 @@ impl<'a> Comm<'a> {
         USER_TAG_BASE | tag
     }
 
+    /// Send on a raw (already namespaced) tag addressed by *engine*
+    /// rank, outside every collective.
+    pub fn raw_send(
+        &mut self,
+        dst: usize,
+        tag: u64,
+        data: Vec<f64>,
+        class: MsgClass,
+        shape: OpShape,
+    ) -> SendOutcome {
+        self.record(|| CommOp::Send {
+            dst,
+            tag,
+            len: data.len(),
+            class,
+            shape,
+        });
+        self.ctx.send(dst, tag, data, class, shape)
+    }
+
     /// Blocking receive on a raw (already namespaced) tag addressed by
     /// *engine* rank.
-    pub(crate) fn raw_recv(&mut self, src: usize, tag: u64) -> cpc_cluster::Msg {
+    pub fn raw_recv(&mut self, src: usize, tag: u64) -> Msg {
+        self.record(|| CommOp::Recv { src, tag });
         self.ctx.recv(src, tag)
     }
 
@@ -419,9 +499,10 @@ impl<'a> Comm<'a> {
     /// Global synchronization. MPI: binomial-tree barrier with control
     /// messages. CMPI: `p - 1` rounds of 1-byte ring exchanges.
     pub fn barrier(&mut self) {
+        self.record(|| CommOp::Barrier);
         match self.middleware {
             Middleware::Mpi => self.tree_barrier(),
-            Middleware::Cmpi => self.ring_sync(),
+            Middleware::Cmpi => self.sync_ring(),
         }
     }
 
@@ -430,6 +511,7 @@ impl<'a> Comm<'a> {
     /// the hop), the protocol runs to completion so no survivor is
     /// left blocked, and the first failure observed is returned.
     pub fn try_barrier(&mut self) -> Result<(), CommError> {
+        self.not_recording("try_barrier");
         match self.middleware {
             Middleware::Mpi => self.try_tree_barrier(),
             Middleware::Cmpi => self.try_ring_sync(),
@@ -537,6 +619,13 @@ impl<'a> Comm<'a> {
     /// sends one byte to `(rank + k) % p` and receives one byte from
     /// `(rank - k) % p`.
     pub fn ring_sync(&mut self) {
+        self.not_recording("ring_sync");
+        self.sync_ring();
+    }
+
+    /// [`ring_sync`](Comm::ring_sync) as a step of a collective, whose
+    /// own record covers it.
+    fn sync_ring(&mut self) {
         let p = self.size();
         let tag = self.next_epoch(op::SYNC_RING);
         if p == 1 {
@@ -589,7 +678,7 @@ impl<'a> Comm<'a> {
     /// where the blocking calls already synchronized).
     fn close_split_group(&mut self) {
         if self.middleware == Middleware::Cmpi {
-            self.ring_sync();
+            self.sync_ring();
         }
     }
 
@@ -598,6 +687,7 @@ impl<'a> Comm<'a> {
     /// `data` holds the local contribution on entry and the global sum
     /// on exit, on every rank.
     pub fn allreduce_sum(&mut self, data: &mut Vec<f64>) {
+        self.record(|| CommOp::Allreduce(CombineAlgo::Tree, data.len()));
         let p = self.size();
         let reduce_tag = self.next_epoch(op::REDUCE);
         if p == 1 {
@@ -637,6 +727,7 @@ impl<'a> Comm<'a> {
     /// the full vector per tree level. Used for the PME charge-grid
     /// sum, whose volume (the full 3D mesh) dwarfs the force combines.
     pub fn allreduce_ring(&mut self, data: &mut [f64]) {
+        self.record(|| CommOp::Allreduce(CombineAlgo::Ring, data.len()));
         let p = self.size();
         let tag = self.next_epoch(op::REDUCE);
         if p == 1 {
@@ -691,6 +782,7 @@ impl<'a> Comm<'a> {
     /// visibly worse than a tree at scale — part of the classic
     /// calculation's overhead growth the paper measures.
     pub fn allreduce_flat(&mut self, data: &mut Vec<f64>) {
+        self.record(|| CommOp::Allreduce(CombineAlgo::Flat, data.len()));
         let p = self.size();
         let tag = self.next_epoch(op::REDUCE);
         if p == 1 {
@@ -742,6 +834,7 @@ impl<'a> Comm<'a> {
 
     /// Broadcast `data` from `root` to all ranks (binomial tree).
     pub fn broadcast(&mut self, root: usize, data: &mut Vec<f64>) {
+        self.not_recording("broadcast");
         let p = self.size();
         let shape = OpShape::new(1, p);
         self.epoch += 1;
@@ -789,6 +882,7 @@ impl<'a> Comm<'a> {
     /// the root (indexed by rank) and `None` elsewhere. Flat algorithm,
     /// as in early CHARMM ports.
     pub fn gather(&mut self, root: usize, data: Vec<f64>) -> Option<Vec<Vec<f64>>> {
+        self.not_recording("gather");
         let p = self.size();
         let tag = self.next_epoch(op::GATHER);
         let result = if self.rank() == root {
@@ -814,6 +908,7 @@ impl<'a> Comm<'a> {
 
     /// All ranks end up with every rank's vector (ring allgather).
     pub fn allgather(&mut self, data: Vec<f64>) -> Vec<Vec<f64>> {
+        self.record(|| CommOp::Allgather(data.len()));
         let p = self.size();
         let tag = self.next_epoch(op::ALLGATHER);
         let rank = self.rank();
@@ -867,6 +962,7 @@ impl<'a> Comm<'a> {
         root: usize,
         parts: Option<Vec<Vec<f64>>>,
     ) -> Result<Vec<f64>, CommError> {
+        self.not_recording("scatter");
         let p = self.size();
         let tag = self.next_epoch(op::GATHER);
         let result = if self.rank() == root {
@@ -905,6 +1001,7 @@ impl<'a> Comm<'a> {
     /// Sum-reduction to `root` only (no broadcast back): returns
     /// `Some(total)` on the root, `None` elsewhere.
     pub fn reduce_sum(&mut self, root: usize, mut data: Vec<f64>) -> Option<Vec<f64>> {
+        self.not_recording("reduce_sum");
         let p = self.size();
         let tag = self.next_epoch(op::REDUCE);
         let result = if p == 1 {
@@ -937,6 +1034,7 @@ impl<'a> Comm<'a> {
     pub fn alltoallv(&mut self, mut sends: Vec<Vec<f64>>) -> Vec<Vec<f64>> {
         let p = self.size();
         assert_eq!(sends.len(), p, "one block per destination required");
+        self.record(|| CommOp::Alltoallv(sends.iter().map(Vec::len).collect()));
         let tag = self.next_epoch(op::ALLTOALL);
         let rank = self.rank();
         let mut recvs: Vec<Vec<f64>> = vec![Vec::new(); p];
@@ -985,7 +1083,7 @@ impl<'a> Comm<'a> {
                     let gsrc = self.g(src);
                     recvs[src] = self.ctx.recv(gsrc, tag + ((k as u64) << 40)).data;
                 }
-                self.ring_sync();
+                self.sync_ring();
             }
         }
         recvs

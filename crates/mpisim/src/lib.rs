@@ -34,6 +34,7 @@ pub mod detector;
 pub mod group;
 pub mod middleware;
 pub mod nonblocking;
+pub mod tape;
 
 pub use comm::{Comm, RetryPolicy};
 pub use cpc_cluster::CommError;
@@ -42,6 +43,7 @@ pub use group::GroupComm;
 pub use middleware::{CombineAlgo, Middleware};
 pub use nonblocking::PollStats;
 pub use nonblocking::{RecvRequest, SendRequest};
+pub use tape::CommOp;
 
 /// Splits `n` items into `p` contiguous, maximally even blocks and
 /// returns block `r` (first `n % p` blocks get one extra item).

@@ -4,7 +4,7 @@
 //! checkpoint-restart with the recovery booked under its own phase.
 
 use cpc::prelude::*;
-use cpc_charmm::{run_parallel_md, run_parallel_md_faulty, FaultConfig};
+use cpc_charmm::{run_parallel_md, run_parallel_md_faulty, FaultConfig, Tape};
 use cpc_cluster::FaultPlan;
 use cpc_workload::runner::quick_system;
 
@@ -23,10 +23,12 @@ fn cfg(p: usize, steps: usize) -> MdConfig {
 fn zero_plan_changes_nothing() {
     let sys = quick_system();
     let cfg = cfg(4, 2);
-    let a = run_parallel_md(&sys, &cfg);
-    let b = run_parallel_md(&sys, &cfg);
+    let a = Tape::record(&sys, &cfg).0;
+    let b = Tape::record(&sys, &cfg).0;
     assert_eq!(a.wall_time, b.wall_time, "fault-free figures stay stable");
     assert_eq!(a.final_positions, b.final_positions);
+    let cached = run_parallel_md(&sys, &cfg);
+    assert_eq!(format!("{cached:?}"), format!("{a:?}"), "replay agrees");
 
     let ft = run_parallel_md_faulty(&sys, &cfg, &FaultConfig::default()).unwrap();
     assert!(ft.completed);

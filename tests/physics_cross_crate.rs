@@ -134,12 +134,17 @@ fn virtual_time_is_reproducible_but_physics_independent_of_seed() {
             ..MdConfig::paper_protocol(pme_model(), Middleware::Mpi, cluster)
         }
     };
-    let a = cpc_charmm::run_parallel_md(&sys, &mk(1));
-    let b = cpc_charmm::run_parallel_md(&sys, &mk(1));
-    let c = cpc_charmm::run_parallel_md(&sys, &mk(2));
+    let a = cpc_charmm::Tape::record(&sys, &mk(1)).0;
+    let b = cpc_charmm::Tape::record(&sys, &mk(1)).0;
+    let c = cpc_charmm::Tape::record(&sys, &mk(2)).0;
     // Same seed: identical timing. Different seed: different timing,
     // identical physics.
     assert_eq!(a.wall_time, b.wall_time);
     assert_ne!(a.wall_time, c.wall_time);
     assert_eq!(a.final_positions, c.final_positions);
+    // The cached entry point agrees with the live runs at either seed.
+    for (seed, live) in [(1, &a), (2, &c)] {
+        let cached = cpc_charmm::run_parallel_md(&sys, &mk(seed));
+        assert_eq!(format!("{cached:?}"), format!("{live:?}"), "seed {seed}");
+    }
 }
