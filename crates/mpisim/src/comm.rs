@@ -11,6 +11,7 @@
 //! ranks densely so every collective keeps working on the smaller
 //! group without change.
 
+use crate::block::Block;
 use crate::detector::FailureDetector;
 use crate::middleware::{CombineAlgo, Middleware};
 use crate::tape::CommOp;
@@ -469,6 +470,18 @@ impl<'a> Comm<'a> {
         class: MsgClass,
         shape: OpShape,
     ) -> SendOutcome {
+        self.send_block(dst, tag, data, class, shape)
+    }
+
+    /// [`raw_send`](Comm::raw_send) of any [`Block`].
+    pub(crate) fn send_block<B: Block>(
+        &mut self,
+        dst: usize,
+        tag: u64,
+        data: B,
+        class: MsgClass,
+        shape: OpShape,
+    ) -> SendOutcome {
         self.record(|| CommOp::Send {
             dst,
             tag,
@@ -476,7 +489,7 @@ impl<'a> Comm<'a> {
             class,
             shape,
         });
-        self.ctx.send(dst, tag, data, class, shape)
+        data.send(self.ctx, dst, tag, class, shape)
     }
 
     /// Blocking receive on a raw (already namespaced) tag addressed by
@@ -687,6 +700,10 @@ impl<'a> Comm<'a> {
     /// `data` holds the local contribution on entry and the global sum
     /// on exit, on every rank.
     pub fn allreduce_sum(&mut self, data: &mut Vec<f64>) {
+        self.tree_allreduce(data);
+    }
+
+    fn tree_allreduce<B: Block>(&mut self, data: &mut B) {
         self.record(|| CommOp::Allreduce(CombineAlgo::Tree, data.len()));
         let p = self.size();
         let reduce_tag = self.next_epoch(op::REDUCE);
@@ -700,21 +717,19 @@ impl<'a> Comm<'a> {
         let mut mask = 1usize;
         while mask < p {
             if rank & mask != 0 {
-                let payload = std::mem::take(data);
                 let dst = self.g(rank - mask);
-                self.ctx
-                    .send(dst, reduce_tag, payload, MsgClass::Payload, shape);
+                std::mem::take(data).send(self.ctx, dst, reduce_tag, MsgClass::Payload, shape);
                 break;
             }
             if rank + mask < p {
                 let src = self.g(rank + mask);
-                let msg = self.ctx.recv(src, reduce_tag);
-                add_into(data, &msg.data);
+                let msg = B::recv(self.ctx, src, reduce_tag);
+                data.add_into(0..data.len(), &msg);
                 // The reduction arithmetic itself is part of the
                 // communication routine in CHARMM; charge a small
                 // per-element cost as computation.
                 let per_add = 4e-9;
-                self.ctx.charge_compute(per_add * msg.data.len() as f64);
+                self.ctx.charge_compute(per_add * msg.len() as f64);
             }
             mask <<= 1;
         }
@@ -726,7 +741,11 @@ impl<'a> Comm<'a> {
     /// allgather): each rank moves `2 (p-1)/p` of the vector instead of
     /// the full vector per tree level. Used for the PME charge-grid
     /// sum, whose volume (the full 3D mesh) dwarfs the force combines.
-    pub fn allreduce_ring(&mut self, data: &mut [f64]) {
+    pub fn allreduce_ring(&mut self, data: &mut Vec<f64>) {
+        self.ring_allreduce(data);
+    }
+
+    fn ring_allreduce<B: Block>(&mut self, data: &mut B) {
         self.record(|| CommOp::Allreduce(CombineAlgo::Ring, data.len()));
         let p = self.size();
         let tag = self.next_epoch(op::REDUCE);
@@ -744,33 +763,26 @@ impl<'a> Comm<'a> {
         for s in 0..p - 1 {
             let send_b = (rank + p - s) % p;
             let recv_b = (rank + p - s - 1) % p;
-            let payload = data[block(send_b)].to_vec();
-            self.ctx.send(
+            data.sub(block(send_b)).send(
+                self.ctx,
                 right,
                 tag + ((s as u64) << 40),
-                payload,
                 MsgClass::Payload,
                 OpShape::new(1, p),
             );
-            let msg = self.ctx.recv(left, tag + ((s as u64) << 40));
-            let r = block(recv_b);
-            assert_eq!(msg.data.len(), r.len());
-            for (a, b) in data[r].iter_mut().zip(&msg.data) {
-                *a += b;
-            }
-            self.ctx.charge_compute(4e-9 * msg.data.len() as f64);
+            let msg = B::recv(self.ctx, left, tag + ((s as u64) << 40));
+            data.add_into(block(recv_b), &msg);
+            self.ctx.charge_compute(4e-9 * msg.len() as f64);
         }
         // Allgather the summed blocks around the ring.
         for s in 0..p - 1 {
             let send_b = (rank + 1 + p - s) % p;
             let recv_b = (rank + p - s) % p;
-            let payload = data[block(send_b)].to_vec();
             let t = tag + (((p + s) as u64) << 40);
-            self.ctx
-                .send(right, t, payload, MsgClass::Payload, OpShape::new(1, p));
-            let msg = self.ctx.recv(left, t);
-            let r = block(recv_b);
-            data[r].copy_from_slice(&msg.data);
+            data.sub(block(send_b))
+                .send(self.ctx, right, t, MsgClass::Payload, OpShape::new(1, p));
+            let msg = B::recv(self.ctx, left, t);
+            data.copy_into(block(recv_b), &msg);
         }
         self.close_split_group();
     }
@@ -782,6 +794,10 @@ impl<'a> Comm<'a> {
     /// visibly worse than a tree at scale — part of the classic
     /// calculation's overhead growth the paper measures.
     pub fn allreduce_flat(&mut self, data: &mut Vec<f64>) {
+        self.flat_allreduce(data);
+    }
+
+    fn flat_allreduce<B: Block>(&mut self, data: &mut B) {
         self.record(|| CommOp::Allreduce(CombineAlgo::Flat, data.len()));
         let p = self.size();
         let tag = self.next_epoch(op::REDUCE);
@@ -793,35 +809,34 @@ impl<'a> Comm<'a> {
         if rank == 0 {
             for src in 1..p {
                 let gsrc = self.g(src);
-                let msg = self.ctx.recv(gsrc, tag);
-                add_into(data, &msg.data);
-                self.ctx.charge_compute(4e-9 * msg.data.len() as f64);
+                let msg = B::recv(self.ctx, gsrc, tag);
+                data.add_into(0..data.len(), &msg);
+                self.ctx.charge_compute(4e-9 * msg.len() as f64);
             }
             for dst in 1..p {
                 let gdst = self.g(dst);
-                self.ctx.send(
-                    gdst,
-                    tag + (1 << 40),
-                    data.clone(),
-                    MsgClass::Payload,
-                    shape,
-                );
+                data.clone()
+                    .send(self.ctx, gdst, tag + (1 << 40), MsgClass::Payload, shape);
             }
         } else {
-            let payload = std::mem::take(data);
             let root = self.g(0);
-            self.ctx.send(root, tag, payload, MsgClass::Payload, shape);
-            *data = self.ctx.recv(root, tag + (1 << 40)).data;
+            std::mem::take(data).send(self.ctx, root, tag, MsgClass::Payload, shape);
+            *data = B::recv(self.ctx, root, tag + (1 << 40));
         }
         self.close_split_group();
     }
 
     /// Dispatches a global sum to the selected algorithm.
     pub fn allreduce_with(&mut self, algo: CombineAlgo, data: &mut Vec<f64>) {
+        self.allreduce_block(algo, data);
+    }
+
+    /// [`allreduce_with`](Comm::allreduce_with) of any [`Block`].
+    pub(crate) fn allreduce_block<B: Block>(&mut self, algo: CombineAlgo, data: &mut B) {
         match algo {
-            CombineAlgo::Flat => self.allreduce_flat(data),
-            CombineAlgo::Tree => self.allreduce_sum(data),
-            CombineAlgo::Ring => self.allreduce_ring(data),
+            CombineAlgo::Flat => self.flat_allreduce(data),
+            CombineAlgo::Tree => self.tree_allreduce(data),
+            CombineAlgo::Ring => self.ring_allreduce(data),
         }
     }
 
@@ -842,7 +857,7 @@ impl<'a> Comm<'a> {
         self.close_split_group();
     }
 
-    fn broadcast_internal(&mut self, root: usize, data: &mut Vec<f64>, shape: OpShape) {
+    fn broadcast_internal<B: Block>(&mut self, root: usize, data: &mut B, shape: OpShape) {
         let p = self.size();
         if p == 1 {
             return;
@@ -854,14 +869,13 @@ impl<'a> Comm<'a> {
         if vrank != 0 {
             let lowest = vrank & vrank.wrapping_neg();
             let parent = self.g(((vrank - lowest) + root) % p);
-            let msg = self.ctx.recv(parent, tag);
-            *data = msg.data;
+            *data = B::recv(self.ctx, parent, tag);
             let mut mask = lowest >> 1;
             while mask >= 1 {
                 if vrank + mask < p {
                     let child = self.g(((vrank + mask) + root) % p);
-                    self.ctx
-                        .send(child, tag, data.clone(), MsgClass::Payload, shape);
+                    data.clone()
+                        .send(self.ctx, child, tag, MsgClass::Payload, shape);
                 }
                 mask >>= 1;
             }
@@ -870,8 +884,8 @@ impl<'a> Comm<'a> {
             while mask >= 1 {
                 if mask < p && vrank + mask < p {
                     let child = self.g(((vrank + mask) + root) % p);
-                    self.ctx
-                        .send(child, tag, data.clone(), MsgClass::Payload, shape);
+                    data.clone()
+                        .send(self.ctx, child, tag, MsgClass::Payload, shape);
                 }
                 mask >>= 1;
             }
@@ -908,11 +922,16 @@ impl<'a> Comm<'a> {
 
     /// All ranks end up with every rank's vector (ring allgather).
     pub fn allgather(&mut self, data: Vec<f64>) -> Vec<Vec<f64>> {
+        self.allgather_block(data)
+    }
+
+    /// [`allgather`](Comm::allgather) of any [`Block`].
+    pub(crate) fn allgather_block<B: Block>(&mut self, data: B) -> Vec<B> {
         self.record(|| CommOp::Allgather(data.len()));
         let p = self.size();
         let tag = self.next_epoch(op::ALLGATHER);
         let rank = self.rank();
-        let mut parts: Vec<Vec<f64>> = vec![Vec::new(); p];
+        let mut parts = vec![B::default(); p];
         parts[rank] = data;
         if p == 1 {
             return parts;
@@ -922,17 +941,15 @@ impl<'a> Comm<'a> {
         // Ring: in step s, forward the block received in step s-1.
         let mut cursor = rank;
         for s in 0..p - 1 {
-            let block = parts[cursor].clone();
-            self.ctx.send(
+            parts[cursor].clone().send(
+                self.ctx,
                 right,
                 tag + ((s as u64) << 40),
-                block,
                 MsgClass::Payload,
                 OpShape::new(1, p),
             );
-            let msg = self.ctx.recv(left, tag + ((s as u64) << 40));
             cursor = (cursor + p - 1) % p;
-            parts[cursor] = msg.data;
+            parts[cursor] = B::recv(self.ctx, left, tag + ((s as u64) << 40));
         }
         self.close_split_group();
         parts
@@ -1011,7 +1028,7 @@ impl<'a> Comm<'a> {
                 if src != root {
                     let gsrc = self.g(src);
                     let msg = self.ctx.recv(gsrc, tag);
-                    add_into(&mut data, &msg.data);
+                    data.add_into(0..data.len(), &msg.data);
                     self.ctx.charge_compute(4e-9 * msg.data.len() as f64);
                 }
             }
@@ -1031,13 +1048,18 @@ impl<'a> Comm<'a> {
     ///
     /// `sends[d]` is the block for rank `d` (`sends[rank]` stays local).
     /// Returns the blocks received, indexed by source.
-    pub fn alltoallv(&mut self, mut sends: Vec<Vec<f64>>) -> Vec<Vec<f64>> {
+    pub fn alltoallv(&mut self, sends: Vec<Vec<f64>>) -> Vec<Vec<f64>> {
+        self.alltoallv_block(sends)
+    }
+
+    /// [`alltoallv`](Comm::alltoallv) of any [`Block`].
+    pub(crate) fn alltoallv_block<B: Block>(&mut self, mut sends: Vec<B>) -> Vec<B> {
         let p = self.size();
         assert_eq!(sends.len(), p, "one block per destination required");
-        self.record(|| CommOp::Alltoallv(sends.iter().map(Vec::len).collect()));
+        self.record(|| CommOp::Alltoallv(sends.iter().map(B::len).collect()));
         let tag = self.next_epoch(op::ALLTOALL);
         let rank = self.rank();
-        let mut recvs: Vec<Vec<f64>> = vec![Vec::new(); p];
+        let mut recvs = vec![B::default(); p];
         recvs[rank] = std::mem::take(&mut sends[rank]);
         if p == 1 {
             return recvs;
@@ -1049,31 +1071,29 @@ impl<'a> Comm<'a> {
                 for k in 1..p {
                     let dst = (rank + k) % p;
                     let src = (rank + p - k) % p;
-                    let block = std::mem::take(&mut sends[dst]);
                     let gdst = self.g(dst);
                     let gsrc = self.g(src);
-                    self.ctx.send(
+                    std::mem::take(&mut sends[dst]).send(
+                        self.ctx,
                         gdst,
                         tag + ((k as u64) << 40),
-                        block,
                         MsgClass::Payload,
                         OpShape::new(1, p),
                     );
-                    recvs[src] = self.ctx.recv(gsrc, tag + ((k as u64) << 40)).data;
+                    recvs[src] = B::recv(self.ctx, gsrc, tag + ((k as u64) << 40));
                 }
             }
             Middleware::Cmpi => {
                 // Split: post every send, then drain every receive.
                 for k in 1..p {
                     let dst = (rank + k) % p;
-                    let block = std::mem::take(&mut sends[dst]);
                     let gdst = self.g(dst);
                     // Split groups push every message at once: the
                     // receiver endpoint sees p-1 concurrent flows.
-                    self.ctx.send(
+                    std::mem::take(&mut sends[dst]).send(
+                        self.ctx,
                         gdst,
                         tag + ((k as u64) << 40),
-                        block,
                         MsgClass::Payload,
                         OpShape::new(p - 1, p),
                     );
@@ -1081,19 +1101,12 @@ impl<'a> Comm<'a> {
                 for k in 1..p {
                     let src = (rank + p - k) % p;
                     let gsrc = self.g(src);
-                    recvs[src] = self.ctx.recv(gsrc, tag + ((k as u64) << 40)).data;
+                    recvs[src] = B::recv(self.ctx, gsrc, tag + ((k as u64) << 40));
                 }
                 self.sync_ring();
             }
         }
         recvs
-    }
-}
-
-fn add_into(acc: &mut [f64], other: &[f64]) {
-    assert_eq!(acc.len(), other.len(), "reduction length mismatch");
-    for (a, b) in acc.iter_mut().zip(other) {
-        *a += b;
     }
 }
 

@@ -29,6 +29,7 @@
 
 #![warn(missing_docs)]
 
+mod block;
 pub mod comm;
 pub mod detector;
 pub mod group;

@@ -5,7 +5,11 @@
 //! from payload values, so a tape recorded on one platform replays on
 //! any other with the same rank count: the middleware still expands
 //! each collective into its messages, and the network, jitter and node
-//! scaling of the replaying cluster still price them. Recording is
+//! scaling of the replaying cluster still price them. A replay carries
+//! lengths only: it runs the very collectives a live run runs, over
+//! length-only blocks, so its messages are priced and booked as the
+//! live ones are but hold no values, and nothing is copied or summed
+//! on the host. Recording is
 //! switched on with [`Comm::start_recording`]; the recorded calls are
 //! exactly the ones [`CommOp`] lists, and a recording `Comm` panics on
 //! every other public call that acts on the cluster (`ctx()`,
@@ -13,6 +17,7 @@
 //! `shrink`, `try_barrier`, `ring_sync`, `broadcast`, `gather`,
 //! `scatter`, `reduce_sum`).
 
+use crate::block::Len;
 use crate::comm::Comm;
 use crate::middleware::CombineAlgo;
 use cpc_cluster::{MsgClass, OpShape, Phase};
@@ -58,9 +63,17 @@ pub enum CommOp {
 }
 
 impl Comm<'_> {
-    /// Replays a tape recorded on a communicator of the same size, with
-    /// zero-filled payloads of the recorded lengths. Every rank of the
-    /// cluster must replay its own tape.
+    /// Replays a tape recorded on a communicator of the same size. Each
+    /// collective runs the same code a live call runs, over length-only
+    /// blocks of the recorded lengths, and each send is a length-only
+    /// send ([`RankCtx::send_len`](cpc_cluster::RankCtx::send_len)):
+    /// every message is priced and booked as in the live run, but
+    /// carries no values. Every rank of the cluster must replay its own
+    /// tape.
+    ///
+    /// # Panics
+    /// As the live collectives do, e.g. with "reduction length
+    /// mismatch" when ranks' tapes disagree on a global sum's length.
     pub fn replay(&mut self, tape: &[CommOp]) {
         for op in tape {
             match op {
@@ -68,11 +81,11 @@ impl Comm<'_> {
                 CommOp::Compute(seconds) => self.charge_compute(*seconds),
                 CommOp::Barrier => self.barrier(),
                 CommOp::Allgather(len) => {
-                    self.allgather(vec![0.0; *len]);
+                    self.allgather_block(Len(*len));
                 }
-                CommOp::Allreduce(algo, len) => self.allreduce_with(*algo, &mut vec![0.0; *len]),
+                CommOp::Allreduce(algo, len) => self.allreduce_block(*algo, &mut Len(*len)),
                 CommOp::Alltoallv(lens) => {
-                    self.alltoallv(lens.iter().map(|&n| vec![0.0; n]).collect());
+                    self.alltoallv_block(lens.iter().map(|&n| Len(n)).collect());
                 }
                 CommOp::Send {
                     dst,
@@ -81,7 +94,7 @@ impl Comm<'_> {
                     class,
                     shape,
                 } => {
-                    self.raw_send(*dst, *tag, vec![0.0; *len], *class, *shape);
+                    self.send_block(*dst, *tag, Len(*len), *class, *shape);
                 }
                 CommOp::Recv { src, tag } => {
                     self.raw_recv(*src, *tag);
@@ -132,19 +145,54 @@ mod tests {
             });
             for network in [NetworkKind::TcpGigE, NetworkKind::MyrinetGm] {
                 for mw in Middleware::ALL {
-                    let cfg = ClusterConfig::uni(p, network);
-                    let live = run_cluster(cfg, |ctx| {
-                        program(&mut Comm::new(ctx, mw));
-                    });
-                    let replayed = run_cluster(cfg, |ctx| {
-                        let tape = &recorded[ctx.rank()].result;
-                        Comm::new(ctx, mw).replay(tape);
-                    });
-                    for (a, b) in live.iter().zip(&replayed) {
-                        assert_eq!(a.finish_time.to_bits(), b.finish_time.to_bits());
-                        assert_eq!(format!("{:?}", a.stats), format!("{:?}", b.stats));
+                    for record_trace in [false, true] {
+                        let mut cfg = ClusterConfig::uni(p, network);
+                        cfg.record_trace = record_trace;
+                        let live = run_cluster(cfg, |ctx| {
+                            program(&mut Comm::new(ctx, mw));
+                        });
+                        let replayed = run_cluster(cfg, |ctx| {
+                            let tape = &recorded[ctx.rank()].result;
+                            Comm::new(ctx, mw).replay(tape);
+                        });
+                        for (a, b) in live.iter().zip(&replayed) {
+                            assert_eq!(a.finish_time.to_bits(), b.finish_time.to_bits());
+                            assert_eq!(format!("{:?}", a.stats), format!("{:?}", b.stats));
+                            // Message by message, not just in aggregate.
+                            assert_eq!(a.stats.trace.len(), b.stats.trace.len());
+                            assert_eq!(a.stats.trace.is_empty(), !record_trace || p == 1);
+                            for (x, y) in a.stats.trace.iter().zip(&b.stats.trace) {
+                                assert_eq!(
+                                    (x.dst, x.bytes, x.payload),
+                                    (y.dst, y.bytes, y.payload)
+                                );
+                                assert_eq!(x.departure.to_bits(), y.departure.to_bits());
+                                assert_eq!(x.arrival.to_bits(), y.arrival.to_bits());
+                            }
+                        }
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn tapes_that_disagree_on_a_global_sum_length_panic_on_replay() {
+        use cpc_cluster::{try_run_cluster, SimError};
+        for algo in [CombineAlgo::Flat, CombineAlgo::Tree, CombineAlgo::Ring] {
+            // The ranks that wait on the panicking one stall; the panic
+            // is what the run reports.
+            let cfg = ClusterConfig::uni(2, NetworkKind::TcpGigE).with_stall_timeout(0.2);
+            let result = try_run_cluster(cfg, |ctx| {
+                let len = 4 + 2 * ctx.rank();
+                Comm::new(ctx, Middleware::Mpi).replay(&[CommOp::Allreduce(algo, len)]);
+            });
+            match result {
+                Err(SimError::RankPanicked { message, .. }) => assert!(
+                    message.contains("reduction length mismatch"),
+                    "{algo:?}: {message}"
+                ),
+                other => panic!("{algo:?}: expected a panic, got {other:?}"),
             }
         }
     }

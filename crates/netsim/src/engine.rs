@@ -42,9 +42,15 @@ pub struct Msg {
     pub src: usize,
     /// User tag.
     pub tag: u64,
-    /// Payload (possibly empty for control messages).
+    /// The values sent: `len` of them, or none for a length-only
+    /// message (see [`RankCtx::send_len`]) and a crash notice.
     pub data: Vec<f64>,
-    /// Modeled size in bytes (may exceed `data` size, e.g. headers).
+    /// Payload length in elements, whether or not `data` carries the
+    /// values.
+    pub len: usize,
+    /// Modeled size in bytes, priced from `len`: `(len * 8).max(1)`
+    /// for a payload message, 1 for a control message, 0 for a crash
+    /// notice.
     pub bytes: usize,
     /// Classification for the comm/sync split.
     pub class: MsgClass,
@@ -322,6 +328,7 @@ impl RankCtx {
                 src: self.rank,
                 tag: CRASH_TAG,
                 data: Vec::new(),
+                len: 0,
                 bytes: 0,
                 class: MsgClass::Control,
                 departure: self.clock,
@@ -353,12 +360,42 @@ impl RankCtx {
         class: MsgClass,
         shape: OpShape,
     ) -> SendOutcome {
+        let len = data.len();
+        self.post(dst, tag, len, data, class, shape)
+    }
+
+    /// Sends a length-only message: priced, booked and traced exactly
+    /// as a [`send`](Self::send) of `len` elements, but it carries no
+    /// values (the received [`Msg::data`] is empty). Virtual time
+    /// depends on message sizes, never on their values, so a replay
+    /// moves lengths alone.
+    pub fn send_len(
+        &mut self,
+        dst: usize,
+        tag: u64,
+        len: usize,
+        class: MsgClass,
+        shape: OpShape,
+    ) -> SendOutcome {
+        self.post(dst, tag, len, Vec::new(), class, shape)
+    }
+
+    /// Prices a message of `len` elements and enqueues it with `data`.
+    fn post(
+        &mut self,
+        dst: usize,
+        tag: u64,
+        len: usize,
+        data: Vec<f64>,
+        class: MsgClass,
+        shape: OpShape,
+    ) -> SendOutcome {
         assert!(dst < self.size(), "invalid destination {dst}");
         assert_ne!(dst, self.rank, "self-send not supported");
         debug_assert_ne!(tag, CRASH_TAG, "CRASH_TAG is reserved");
         let cfg = &self.shared.config;
         let bytes = match class {
-            MsgClass::Payload => (data.len() * 8).max(1),
+            MsgClass::Payload => (len * 8).max(1),
             MsgClass::Control => 1,
         };
         let ctx = TransferCtx {
@@ -424,6 +461,7 @@ impl RankCtx {
             src: self.rank,
             tag,
             data,
+            len,
             bytes,
             class,
             departure,
@@ -994,6 +1032,53 @@ mod tests {
         // Receiver's clock must include the 1 s wait.
         assert!(out[1].finish_time > 1.0);
         assert!(out[1].stats.total().comm > 1.0);
+    }
+
+    #[test]
+    fn a_length_only_send_is_priced_and_booked_like_a_data_send() {
+        // Two ranks per node: rank 1 shares rank 0's node, rank 2 does
+        // not.
+        let mut cfg = ClusterConfig::dual(4, NetworkKind::TcpGigE);
+        cfg.record_trace = true;
+        for n in [0usize, 1, 7, 1 << 17] {
+            for class in [MsgClass::Payload, MsgClass::Control] {
+                for dst in [1usize, 2] {
+                    let run = |length_only: bool| {
+                        run_cluster(cfg, |ctx| {
+                            let shape = OpShape::new(1, 4);
+                            if ctx.rank() == 0 {
+                                ctx.charge_compute(1e-6);
+                                let sent = if length_only {
+                                    ctx.send_len(dst, 3, n, class, shape)
+                                } else {
+                                    ctx.send(dst, 3, vec![1.5; n], class, shape)
+                                };
+                                Some(sent)
+                            } else {
+                                if ctx.rank() == dst {
+                                    let msg = ctx.recv(0, 3);
+                                    assert_eq!(msg.len, n);
+                                    assert_eq!(msg.data.len(), if length_only { 0 } else { n });
+                                }
+                                None
+                            }
+                        })
+                    };
+                    let (data, lengths) = (run(false), run(true));
+                    let what = format!("n={n} {class:?} dst={dst}");
+                    assert_eq!(data[0].result, lengths[0].result, "{what}");
+                    for (a, b) in data.iter().zip(&lengths) {
+                        assert_eq!(a.finish_time.to_bits(), b.finish_time.to_bits(), "{what}");
+                        assert_eq!(format!("{:?}", a.stats), format!("{:?}", b.stats), "{what}");
+                        assert_eq!(a.stats.throughput, b.stats.throughput, "{what}");
+                        assert_eq!(a.stats.trace, b.stats.trace, "{what}");
+                    }
+                    assert_eq!(data[0].stats.trace.len(), 1, "{what}");
+                    let samples = data[dst].stats.throughput.len();
+                    assert_eq!(samples, usize::from(class == MsgClass::Payload), "{what}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //! platform configuration, gives exactly the report a live run on that
 //! platform gives — virtual times to the bit, every per-rank stats
 //! bucket, message and byte counts, step energies, final positions and
-//! velocities — and `summarize` serializes it to the same bytes.
+//! velocities — and `summarize` serializes it to the same bytes. With
+//! message tracing on, every replayed message also matches its live
+//! counterpart: size, departure and arrival.
 
 use cpc::prelude::*;
 use cpc_charmm::{run_parallel_md, trajectory_counts, CommTuning, PmeImpl, Tape};
@@ -52,10 +54,14 @@ fn every_replay_is_bit_identical_to_its_live_run() {
                     ..MdConfig::paper_protocol(model, point.middleware, point.cluster())
                 };
                 let (_, tape) = Tape::record(&sys, &cfg(&points[0]));
-                for point in &points {
-                    let what = format!("{engine} {tuning:?} {}", point.label());
-                    let live = Tape::record(&sys, &cfg(point)).0;
-                    let replayed = tape.replay(&cfg(point));
+                for (point, record_trace) in points.iter().flat_map(|pt| [(pt, false), (pt, true)])
+                {
+                    let what =
+                        format!("{engine} {tuning:?} {} trace={record_trace}", point.label());
+                    let mut cfg = cfg(point);
+                    cfg.cluster.record_trace = record_trace;
+                    let live = Tape::record(&sys, &cfg).0;
+                    let replayed = tape.replay(&cfg);
                     assert_eq!(
                         live.wall_time.to_bits(),
                         replayed.wall_time.to_bits(),
@@ -66,6 +72,16 @@ fn every_replay_is_bit_identical_to_its_live_run() {
                         format!("{replayed:?}"),
                         "{what}: reports differ"
                     );
+                    for (a, b) in live.per_rank.iter().zip(&replayed.per_rank) {
+                        assert_eq!(a.trace.len(), b.trace.len(), "{what}");
+                        assert_eq!(a.trace.is_empty(), !record_trace || p == 1, "{what}");
+                        for (x, y) in a.trace.iter().zip(&b.trace) {
+                            assert_eq!((x.src, x.dst), (y.src, y.dst), "{what}");
+                            assert_eq!(x.bytes, y.bytes, "{what}");
+                            assert_eq!(x.departure.to_bits(), y.departure.to_bits(), "{what}");
+                            assert_eq!(x.arrival.to_bits(), y.arrival.to_bits(), "{what}");
+                        }
+                    }
                     let bytes = |r: &RunReport| {
                         serde_json::to_string(&summarize(*point, r)).expect("serializes")
                     };
